@@ -23,7 +23,17 @@ type AtomicTable struct {
 	mask   uint64
 	prob   Probing
 	n      atomic.Int64
-	probes atomic.Uint64
+	probes [probeStripes]probeStripe
+}
+
+// probeStripes spreads the probe tally over this many counters, picked by
+// home slot, so concurrent inserts do not all bump one shared word.
+const probeStripes = 8
+
+// probeStripe is one probe counter, padded to its own cache line.
+type probeStripe struct {
+	atomic.Uint64
+	_ [56]byte
 }
 
 // NewAtomicTable creates a table with capacity the next power of two above
@@ -56,7 +66,13 @@ func (t *AtomicTable) Len() int { return int(t.n.Load()) }
 
 // Probes returns the cumulative number of slot inspections, the memory-
 // traffic figure consumed by the GPU cost model.
-func (t *AtomicTable) Probes() uint64 { return t.probes.Load() }
+func (t *AtomicTable) Probes() uint64 {
+	var sum uint64
+	for i := range t.probes {
+		sum += t.probes[i].Load()
+	}
+	return sum
+}
 
 // Add atomically increments key's count by delta, claiming a slot if the
 // key is new. Safe for concurrent use. Returns whether the key was newly
@@ -67,6 +83,7 @@ func (t *AtomicTable) Add(key uint64, delta uint32) (isNew bool, probes int, err
 	}
 	stored := key + 1
 	slot := slotOf(key, t.mask)
+	tally := &t.probes[slot%probeStripes]
 	capacity := uint64(len(t.keys))
 	for i := uint64(0); i < capacity; i++ {
 		idx := (slot + t.prob.step(i)) & t.mask
@@ -77,7 +94,7 @@ func (t *AtomicTable) Add(key uint64, delta uint32) (isNew bool, probes int, err
 				// Slot claimed.
 				t.counts[idx].Add(delta)
 				t.n.Add(1)
-				t.probes.Add(uint64(probes))
+				tally.Add(uint64(probes))
 				return true, probes, nil
 			}
 			// Lost the race; re-read the winner's key.
@@ -85,11 +102,11 @@ func (t *AtomicTable) Add(key uint64, delta uint32) (isNew bool, probes int, err
 		}
 		if cur == stored {
 			t.counts[idx].Add(delta)
-			t.probes.Add(uint64(probes))
+			tally.Add(uint64(probes))
 			return false, probes, nil
 		}
 	}
-	t.probes.Add(uint64(probes))
+	tally.Add(uint64(probes))
 	return false, probes, fmt.Errorf("%w (cap %d)", ErrTableFull, capacity)
 }
 

@@ -1,61 +1,26 @@
 package kcount
 
-import "sort"
-
 // BinAccumulator folds per-bin spectra into one rank-level spectrum for
 // the out-of-core counting path (DESIGN.md §16). The spill bins
 // partition the rank's key space — every distinct key lives in exactly
 // one bin — so totals and distinct counts add, histogram classes add,
-// and the global top-K is a subset of the union of per-bin top-Ks (any
-// key in the global top-K would make its own bin's top-K too). That
-// disjointness is what makes the fold bit-identical to counting the
-// whole slice in one table.
+// and one Digest fed every bin's pairs sees exactly the pairs one table
+// over the whole slice would hold. That disjointness is what makes the
+// fold bit-identical to counting the whole slice in one table.
 type BinAccumulator struct {
-	topK     int
-	total    uint64
-	distinct uint64
-	hist     Histogram
-	top      []KV
+	Digest
 }
 
 // NewBinAccumulator builds an empty accumulator keeping the top topK
 // keys across bins.
 func NewBinAccumulator(topK int) *BinAccumulator {
-	return &BinAccumulator{topK: topK, hist: Histogram{Counts: make(map[uint32]uint64)}}
+	return &BinAccumulator{Digest{top: newTopK(topK, 0)}}
 }
 
 // AddTable folds one bin's counted table in. A nil or empty table is a
 // valid empty bin and contributes nothing.
 func (a *BinAccumulator) AddTable(t *Table) {
-	if t == nil || t.Len() == 0 {
-		return
-	}
-	a.total += t.TotalCount()
-	a.distinct += uint64(t.Len())
-	a.hist.Merge(t.Histogram())
-	a.top = append(a.top, t.TopK(a.topK)...)
-	// Re-truncate with the table's tie-break (count desc, key asc) so the
-	// running top-K stays bounded and ordered identically to Table.TopK.
-	sort.Slice(a.top, func(i, j int) bool {
-		if a.top[i].Count != a.top[j].Count {
-			return a.top[i].Count > a.top[j].Count
-		}
-		return a.top[i].Key < a.top[j].Key
-	})
-	if len(a.top) > a.topK {
-		a.top = a.top[:a.topK]
+	if t != nil {
+		t.ForEach(a.Add)
 	}
 }
-
-// Total returns the summed k-mer occurrence count across bins.
-func (a *BinAccumulator) Total() uint64 { return a.total }
-
-// Distinct returns the summed distinct-key count across bins.
-func (a *BinAccumulator) Distinct() uint64 { return a.distinct }
-
-// Histogram returns the merged frequency histogram.
-func (a *BinAccumulator) Histogram() Histogram { return a.hist }
-
-// TopK returns the merged top-K (count desc, key asc), at most the
-// configured length.
-func (a *BinAccumulator) TopK() []KV { return a.top }

@@ -91,7 +91,7 @@ func TestBinAccumulatorTopKTruncation(t *testing.T) {
 
 // assertSameSpectrum compares the accumulator's fold against counting
 // everything in one table: total, distinct, histogram, and top-k must be
-// bit-identical.
+// bit-identical, to the table's own summaries and to a full sort.
 func assertSameSpectrum(t *testing.T, whole *Table, a *BinAccumulator) {
 	t.Helper()
 	if a.Total() != whole.TotalCount() {
@@ -106,4 +106,9 @@ func assertSameSpectrum(t *testing.T, whole *Table, a *BinAccumulator) {
 	if got, want := a.TopK(), whole.TopK(64); !reflect.DeepEqual(got, want) {
 		t.Fatalf("top-k %v, want %v", got, want)
 	}
+	// Table.TopK and the accumulator share the bounded selection, so also
+	// check against the full-sort reference over the whole table.
+	var pairs []KV
+	whole.ForEach(func(k uint64, c uint32) { pairs = append(pairs, KV{k, c}) })
+	checkDigest(t, &a.Digest, pairs, 64)
 }

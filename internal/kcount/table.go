@@ -194,9 +194,9 @@ type Histogram struct {
 
 // Histogram computes the frequency spectrum of the table.
 func (t *Table) Histogram() Histogram {
-	h := Histogram{Counts: make(map[uint32]uint64)}
-	t.ForEach(func(_ uint64, c uint32) { h.Counts[c]++ })
-	return h
+	var d Digest
+	t.ForEach(d.Add)
+	return d.Histogram()
 }
 
 // Distinct returns the number of distinct k-mers.
@@ -240,20 +240,12 @@ func (h Histogram) Merge(other Histogram) {
 
 // TopK returns the k highest-count (key, count) pairs of the table, counts
 // descending, keys ascending among ties — the "k-mers of scientific
-// interest by frequency" query from §II-A.
+// interest by frequency" query from §II-A. It selects with a bounded heap,
+// O(n log k).
 func (t *Table) TopK(k int) []KV {
-	all := make([]KV, 0, t.Len())
-	t.ForEach(func(key uint64, c uint32) { all = append(all, KV{key, c}) })
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Key < all[j].Key
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
+	top := newTopK(k, t.Len())
+	t.ForEach(top.add)
+	return top.sorted()
 }
 
 // KV is a k-mer/count pair.

@@ -3,6 +3,7 @@ package kernels
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -316,16 +317,33 @@ func TestParseKmersValidation(t *testing.T) {
 }
 
 func TestBuildSupermersMatchesBuildWindowed(t *testing.T) {
+	// The kernel and the reference builder must emit the same supermers
+	// for every ordering, on reads with N bases, and at the edges of the
+	// rolling minimizer's ring: one candidate per k-mer (m = k) and the
+	// most candidates any k-mer has (k = 32, m = 1).
 	rng := rand.New(rand.NewSource(43))
 	reads := randReads(rng, 25, 300, 0.02)
 	data := buildBuffer(reads)
-	mcfg := minimizer.Config{K: 17, M: 7, Window: 15, Ord: minimizer.Value{}}
+	orderings := []minimizer.Ordering{minimizer.Value{}, minimizer.NewKMC2(&dna.Random), minimizer.Hashed{Seed: 5}}
+	shapes := []struct{ k, m, window int }{{17, 7, 15}, {17, 17, 15}, {32, 1, 8}, {9, 4, 30}}
+	for _, ord := range orderings {
+		for _, sh := range shapes {
+			mcfg := minimizer.Config{K: sh.k, M: sh.m, Window: sh.window, Ord: ord}
+			t.Run(fmt.Sprintf("%s/k%d-m%d", ord.Name(), sh.k, sh.m), func(t *testing.T) {
+				checkBuildSupermers(t, mcfg, data)
+			})
+		}
+	}
+}
+
+func checkBuildSupermers(t *testing.T, mcfg minimizer.Config, data []byte) {
 	cfg := SupermerConfig{Enc: &dna.Random, C: mcfg, NumDest: 5}
 	out, st, err := BuildSupermers(dev(t), cfg, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := SupermerWire{K: 17, Window: 15}
+	k := mcfg.K
+	wire := SupermerWire{K: k, Window: mcfg.Window}
 	type sm struct {
 		seq string
 		nk  int
@@ -337,10 +355,15 @@ func TestBuildSupermersMatchesBuildWindowed(t *testing.T) {
 			s := seq.String(&dna.Random)
 			got = append(got, sm{s, nk})
 			// Destination must be the minimizer's hash.
-			w := seq.Kmer(0, 17)
-			min := minimizer.Of(w, 17, 7, mcfg.Ord)
+			min := minimizer.Of(seq.Kmer(0, k), k, mcfg.M, mcfg.Ord)
 			if DestOf(uint64(min), cfg.NumDest) != d {
 				t.Fatalf("supermer %q in partition %d, minimizer says %d", s, d, DestOf(uint64(min), cfg.NumDest))
+			}
+			// Every k-mer inside shares the minimizer (Of, not the roller).
+			for j := 1; j < nk; j++ {
+				if m := minimizer.Of(seq.Kmer(j, k), k, mcfg.M, mcfg.Ord); m != min {
+					t.Fatalf("supermer %q: k-mer %d has minimizer %x, first has %x", s, j, m, min)
+				}
 			}
 		}
 	}

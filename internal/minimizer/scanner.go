@@ -7,35 +7,26 @@ import (
 )
 
 // Scanner streams (k-mer, minimizer) pairs over a read in O(1) amortized
-// time per position, using a monotonic deque over m-mer ranks — the classic
-// sliding-window-minimum algorithm. It is the fast host-side alternative to
-// calling Of for every k-mer (which costs O(k−m) per position, the cost the
-// GPU kernel pays in registers); tests pin the two implementations to
-// identical output.
+// time per position on the shared Roller. It is the fast host-side
+// alternative to calling Of for every k-mer (which costs O(k−m) per
+// position, the cost the GPU kernel pays in registers); tests pin the two
+// implementations to identical output.
 type Scanner struct {
-	enc *dna.Encoding
-	seq []byte
-	k   int
-	m   int
-	ord Ordering
-
-	next    int      // next base index to consume
-	valid   int      // consecutive valid bases ending before next
-	kw      dna.Kmer // rolling k-mer
-	mw      dna.Kmer // rolling m-mer
-	deque   []cand   // rank-monotonic candidates, front = current minimizer
-	headPos int      // read offset of the front base of the current k-mer
-}
-
-type cand struct {
-	pos  int // start offset of the m-mer
-	mmer dna.Kmer
-	rank uint64
+	enc  *dna.Encoding
+	seq  []byte
+	next int // next base index to consume
+	roll Roller
 }
 
 // NewScanner constructs a rolling scanner; it panics on invalid parameters
 // (use minimizer.Config.Validate to pre-check user input).
 func NewScanner(enc *dna.Encoding, seq []byte, k, m int, ord Ordering) *Scanner {
+	s := &Scanner{}
+	s.init(enc, seq, k, m, ord)
+	return s
+}
+
+func (s *Scanner) init(enc *dna.Encoding, seq []byte, k, m int, ord Ordering) {
 	if k <= 0 || k > dna.MaxK {
 		panic(fmt.Sprintf("minimizer: k=%d outside (0,%d]", k, dna.MaxK))
 	}
@@ -45,7 +36,8 @@ func NewScanner(enc *dna.Encoding, seq []byte, k, m int, ord Ordering) *Scanner 
 	if ord == nil {
 		panic("minimizer: nil ordering")
 	}
-	return &Scanner{enc: enc, seq: seq, k: k, m: m, ord: ord}
+	s.enc, s.seq, s.next = enc, seq, 0
+	s.roll.Init(k, m, ord)
 }
 
 // Next returns the next valid k-mer, its minimizer, and its start offset.
@@ -53,44 +45,23 @@ func NewScanner(enc *dna.Encoding, seq []byte, k, m int, ord Ordering) *Scanner 
 func (s *Scanner) Next() (w, min dna.Kmer, pos int, ok bool) {
 	for s.next < len(s.seq) {
 		code, valid := s.enc.Encode(s.seq[s.next])
-		base := s.next
 		s.next++
 		if !valid {
-			s.valid = 0
-			s.deque = s.deque[:0]
+			s.roll.Break()
 			continue
 		}
-		s.kw = s.kw.Append(s.k, code)
-		s.mw = s.mw.Append(s.m, code)
-		s.valid++
-
-		if s.valid >= s.m {
-			// The m-mer ending at `base` starts at base-m+1.
-			c := cand{pos: base - s.m + 1, mmer: s.mw, rank: s.ord.Rank(s.mw, s.m)}
-			// Strictly-greater pop keeps the leftmost occurrence of equal
-			// ranks at the front — Of's tie-break.
-			for len(s.deque) > 0 && s.deque[len(s.deque)-1].rank > c.rank {
-				s.deque = s.deque[:len(s.deque)-1]
-			}
-			s.deque = append(s.deque, c)
+		if s.roll.Push(code) {
+			return s.roll.Kmer(), s.roll.Min(), s.next - s.roll.k, true
 		}
-		if s.valid < s.k {
-			continue
-		}
-		kpos := base - s.k + 1
-		// Evict m-mers that start before the k-mer window.
-		for len(s.deque) > 0 && s.deque[0].pos < kpos {
-			s.deque = s.deque[1:]
-		}
-		return s.kw, s.deque[0].mmer, kpos, true
 	}
 	return 0, 0, 0, false
 }
 
 // ForEachWithMinimizer calls fn for every valid k-mer of seq with its
-// minimizer, using the rolling scanner.
+// minimizer, using the rolling scanner. It does not allocate.
 func ForEachWithMinimizer(enc *dna.Encoding, seq []byte, k, m int, ord Ordering, fn func(w, min dna.Kmer, pos int)) {
-	s := NewScanner(enc, seq, k, m, ord)
+	var s Scanner
+	s.init(enc, seq, k, m, ord)
 	for {
 		w, min, pos, ok := s.Next()
 		if !ok {

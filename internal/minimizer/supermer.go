@@ -85,7 +85,8 @@ func BuildSequential(enc *dna.Encoding, seq []byte, c Config, emit func(Supermer
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	b := newBuilder(enc, seq, c)
+	var b builder
+	b.init(enc, seq, c)
 	for b.nextValidKmer() {
 		if b.contiguous() && b.min == b.curMin {
 			b.extend()
@@ -107,7 +108,8 @@ func BuildWindowed(enc *dna.Encoding, seq []byte, c Config, emit func(Supermer))
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	b := newBuilder(enc, seq, c)
+	var b builder
+	b.init(enc, seq, c)
 	for b.nextValidKmer() {
 		sameWindow := b.pos/c.Window == b.openWindow
 		if b.contiguous() && sameWindow && b.min == b.curMin {
@@ -129,8 +131,7 @@ type builder struct {
 
 	// Rolling scan state.
 	next   int      // next base index to consume
-	valid  int      // consecutive valid bases ending before next
-	kw     dna.Kmer // rolling k-mer
+	roll   Roller   // rolling k-mer and minimizer
 	pos    int      // start position of the current k-mer (valid after nextValidKmer)
 	curMin dna.Kmer // minimizer of the current k-mer
 
@@ -143,8 +144,11 @@ type builder struct {
 	openWindow int // window index (pos/Window) that opened the supermer
 }
 
-func newBuilder(enc *dna.Encoding, seq []byte, c Config) *builder {
-	return &builder{enc: enc, seq: seq, c: c, lastPos: -2}
+// init prepares a zero builder; builders live on the caller's stack, so a
+// build allocates only the supermers it emits.
+func (b *builder) init(enc *dna.Encoding, seq []byte, c Config) {
+	b.enc, b.seq, b.c, b.lastPos = enc, seq, c, -2
+	b.roll.Init(c.K, c.M, c.Ord)
 }
 
 // contiguous reports whether the current k-mer directly follows the last
@@ -161,14 +165,12 @@ func (b *builder) nextValidKmer() bool {
 		code, ok := b.enc.Encode(b.seq[b.next])
 		b.next++
 		if !ok {
-			b.valid = 0
+			b.roll.Break()
 			continue
 		}
-		b.kw = b.kw.Append(b.c.K, code)
-		b.valid++
-		if b.valid >= b.c.K {
+		if b.roll.Push(code) {
 			b.pos = b.next - b.c.K
-			b.curMin = Of(b.kw, b.c.K, b.c.M, b.c.Ord)
+			b.curMin = b.roll.Min()
 			return true
 		}
 	}

@@ -762,18 +762,24 @@ func (r *Request[T]) Wait() (T, error) {
 // full round of compute and charging that stagger to whichever collective
 // synchronizes next. The yield lets every runnable rank reach its post (and
 // every posted collective's goroutine start) before compute resumes.
-func post[T any](c *Comm, op func() (T, error)) *Request[T] {
+//
+// op runs on a copy of c taken at posting time, so the collective stays in
+// the world it was posted in. A request abandoned by a Shrink then fails in
+// the retired world instead of depositing into the successor world, where
+// it would be matched against the survivors' recovery collectives.
+func post[T any](c *Comm, op func(pc *Comm) (T, error)) *Request[T] {
 	r := &Request[T]{c: c, ch: make(chan asyncResult[T], 1)}
 	prev := c.asyncTail
 	done := make(chan struct{})
 	c.asyncTail = done
 	c.pending++
+	pc := &Comm{rank: c.rank, world: c.world}
 	go func() {
 		defer close(done)
 		if prev != nil {
 			<-prev
 		}
-		v, err := op()
+		v, err := op(pc)
 		r.ch <- asyncResult[T]{v, err}
 	}()
 	runtime.Gosched()
@@ -797,7 +803,7 @@ func (c *Comm) IAlltoall(send []int) *Request[[]int] {
 		return postErr[[]int](c, err)
 	}
 	owned := append([]int(nil), send...)
-	return post(c, func() ([]int, error) { return c.alltoall(owned) })
+	return post(c, func(pc *Comm) ([]int, error) { return pc.alltoall(owned) })
 }
 
 // IAlltoallvBytes posts the byte-payload exchange. Payloads are referenced:
@@ -807,7 +813,7 @@ func (c *Comm) IAlltoallvBytes(send [][]byte) *Request[[][]byte] {
 		return postErr[[][]byte](c, err)
 	}
 	posted := c.wireClock()
-	return post(c, func() ([][]byte, error) { return c.alltoallvBytes(send, posted) })
+	return post(c, func(pc *Comm) ([][]byte, error) { return pc.alltoallvBytes(send, posted) })
 }
 
 // IAlltoallvUint64 posts the word-payload exchange. Payloads are referenced:
@@ -817,5 +823,5 @@ func (c *Comm) IAlltoallvUint64(send [][]uint64) *Request[[][]uint64] {
 		return postErr[[][]uint64](c, err)
 	}
 	posted := c.wireClock()
-	return post(c, func() ([][]uint64, error) { return c.alltoallvUint64(send, posted) })
+	return post(c, func(pc *Comm) ([][]uint64, error) { return pc.alltoallvUint64(send, posted) })
 }

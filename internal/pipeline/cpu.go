@@ -222,10 +222,9 @@ func runCPURank(cfg Config, destMap []uint16, inj *fault.Injector, c *mpisim.Com
 	if rsp != nil {
 		return cpuCountBins(cfg, model, rsp, rec, rank, out)
 	}
-	out.counted = table.TotalCount()
-	out.distinct = uint64(table.Len())
-	out.hist = table.Histogram()
-	out.top = table.TopK(topKPerRank)
+	dg := kcount.NewDigest(topKPerRank)
+	table.ForEach(dg.Add)
+	out.summarize(dg)
 	if cfg.KeepTables {
 		out.table = table
 	}
@@ -238,7 +237,7 @@ func runCPURank(cfg Config, destMap []uint16, inj *fault.Injector, c *mpisim.Com
 // the outcome. Bins partition the rank's key space, so the fold is
 // bit-identical to the single-table path.
 func cpuCountBins(cfg Config, model cluster.CPUModel, rsp *rankSpill, rec *obs.Recorder, rank int, out *rankOutcome) error {
-	acc := kcount.NewBinAccumulator(topKPerRank)
+	dg := kcount.NewDigest(topKPerRank)
 	if err := rsp.seal(); err != nil {
 		return err
 	}
@@ -287,14 +286,11 @@ func cpuCountBins(cfg Config, model cluster.CPUModel, rsp *rankSpill, rec *obs.R
 		countModeled := model.RankTimeLifted(bmeter.Ops, bmeter.Bytes, bmeter.Items, cfg.CPULoadLift)
 		out.count += countModeled
 		out.countOps += bmeter.Ops
-		acc.AddTable(bt)
+		bt.ForEach(dg.Add)
 		sp.End(countModeled, binItems)
 	}
 	rsp.cleanup(!out.incomplete)
-	out.counted = acc.Total()
-	out.distinct = acc.Distinct()
-	out.hist = acc.Histogram()
-	out.top = acc.TopK()
+	out.summarize(dg)
 	return nil
 }
 

@@ -39,6 +39,15 @@ type rankOutcome struct {
 	replays      int // shrink recoveries this seat went through
 }
 
+// summarize records the rank's spectrum summary from a digest fed every
+// counted (key, count) pair of the rank.
+func (o *rankOutcome) summarize(dg *kcount.Digest) {
+	o.counted = dg.Total()
+	o.distinct = dg.Distinct()
+	o.hist = dg.Histogram()
+	o.top = dg.TopK()
+}
+
 // Run executes the configured pipeline over the reads and returns the
 // global result. The reads are partitioned across ranks by balanced base
 // count (the paper's parallel-I/O assumption, §IV-D).
@@ -516,13 +525,11 @@ func runGPURank(cfg Config, destMap []uint16, inj *fault.Injector, c *mpisim.Com
 	if rsp != nil {
 		return gpuCountBins(cfg, dev, wire, rsp, rec, rank, out)
 	}
-	snap := table.Snapshot()
-	out.counted = snap.TotalCount()
-	out.distinct = uint64(snap.Len())
-	out.hist = snap.Histogram()
-	out.top = snap.TopK(topKPerRank)
+	dg := kcount.NewDigest(topKPerRank)
+	table.ForEach(dg.Add)
+	out.summarize(dg)
 	if cfg.KeepTables {
-		out.table = snap
+		out.table = table.Snapshot()
 	}
 	return nil
 }
@@ -536,7 +543,7 @@ func gpuCountBins(cfg Config, dev *gpusim.Device, wire kernels.SupermerWire, rsp
 	if err := rsp.seal(); err != nil {
 		return err
 	}
-	acc := kcount.NewBinAccumulator(topKPerRank)
+	dg := kcount.NewDigest(topKPerRank)
 	stride := wire.Stride()
 	var words []uint64
 	for b := 0; b < rsp.ctl.bins; b++ {
@@ -594,14 +601,11 @@ func gpuCountBins(cfg Config, dev *gpusim.Device, wire kernels.SupermerWire, rsp
 			sp.End(0, 0)
 			return err
 		}
-		acc.AddTable(bt.Snapshot())
+		bt.ForEach(dg.Add)
 		sp.End(binModeled, binItems)
 	}
 	rsp.cleanup(!out.incomplete)
-	out.counted = acc.Total()
-	out.distinct = acc.Distinct()
-	out.hist = acc.Histogram()
-	out.top = acc.TopK()
+	out.summarize(dg)
 	return nil
 }
 
