@@ -25,6 +25,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReader -fuzztime 30s ./internal/fastq/
 	$(GO) test -run xxx -fuzz FuzzStream -fuzztime 30s ./internal/fastq/
 	$(GO) test -run xxx -fuzz FuzzSupermerInvariants -fuzztime 30s ./internal/minimizer/
+	$(GO) test -run xxx -fuzz FuzzRollingMinimizer -fuzztime 30s ./internal/minimizer/
+	$(GO) test -run xxx -fuzz FuzzFoldWarp -fuzztime 30s ./internal/gpusim/
 	$(GO) test -run xxx -fuzz FuzzWireRoundTrip -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzWireCorruptInput -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzTraceparent -fuzztime 30s ./internal/obs/
@@ -33,7 +35,7 @@ fuzz:
 # Run every fuzz target over its checked-in seed corpus only (fast,
 # deterministic — what `ci` uses).
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/kernels/ ./internal/obs/ ./internal/pipeline/
+	$(GO) test -run 'Fuzz' ./internal/fastq/ ./internal/minimizer/ ./internal/gpusim/ ./internal/kernels/ ./internal/obs/ ./internal/pipeline/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
