@@ -51,7 +51,7 @@ func TestKillResumeShrinkEquivalence(t *testing.T) {
 	for _, mx := range matrix {
 		layout := smallGPULayout(1)
 		if mx.eng == "cpu" {
-			layout = smallCPULayout()
+			layout = smallCPULayout(1)
 		}
 		for _, overlap := range []bool{false, true} {
 			for _, exch := range []Exchange{ExchangeFlat, ExchangeHier} {

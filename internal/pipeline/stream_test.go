@@ -20,9 +20,10 @@ import (
 	"dedukt/internal/genome"
 )
 
-// smallCPULayout mirrors smallGPULayout for the CPU engine.
-func smallCPULayout() cluster.Layout {
-	l := cluster.SummitCPU(1)
+// smallCPULayout mirrors smallGPULayout for the CPU engine: 6 ranks per
+// node.
+func smallCPULayout(nodes int) cluster.Layout {
+	l := cluster.SummitCPU(nodes)
 	l.RanksPerNode = 6
 	l.Net.RanksPerNode = 6
 	return l
@@ -107,7 +108,7 @@ func TestStreamMatchesInMemory(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			layout := smallGPULayout(1)
 			if tc.engine == "cpu" {
-				layout = smallCPULayout()
+				layout = smallCPULayout(1)
 			}
 			cfg := Default(layout, tc.mode)
 			cfg.K, cfg.M, cfg.Window = k, m, window
@@ -225,7 +226,7 @@ func TestStreamRejectsWholeInputFeatures(t *testing.T) {
 	if _, err := RunStream(bp, src); err == nil {
 		t.Fatal("BalancedPartition must be rejected when streaming")
 	}
-	fs := Default(smallCPULayout(), KmerMode)
+	fs := Default(smallCPULayout(1), KmerMode)
 	fs.FilterSingletons = true
 	if _, err := RunStream(fs, src); err == nil {
 		t.Fatal("FilterSingletons must be rejected when streaming")
