@@ -67,6 +67,7 @@ type Table struct {
 	counts []uint32
 	mask   uint64
 	n      int // occupied slots
+	limit  int // loadLimit(capacity): the most entries before growth
 	prob   Probing
 	// Probes accumulates the total number of slots inspected across all
 	// operations — the quantity the GPU cost model charges memory traffic
@@ -76,6 +77,13 @@ type Table struct {
 
 // MaxKey is the largest storable key (reserved sentinel excluded).
 const MaxKey = ^uint64(0) - 1
+
+// maxLoad is the load factor the table grows past.
+const maxLoad = 0.7
+
+// loadLimit returns the largest n with float64(n) <= maxLoad*capacity,
+// the integer form of the growth test (exact: n is far below 2^53).
+func loadLimit(capacity int) int { return int(maxLoad * float64(capacity)) }
 
 // NewTable creates a table with capacity for at least expected entries at
 // ≤50% initial load.
@@ -91,6 +99,7 @@ func NewTable(expected int, prob Probing) *Table {
 		keys:   make([]uint64, capacity),
 		counts: make([]uint32, capacity),
 		mask:   uint64(capacity - 1),
+		limit:  loadLimit(capacity),
 		prob:   prob,
 	}
 }
@@ -111,7 +120,7 @@ func (t *Table) Add(key uint64, delta uint32) (isNew bool) {
 	if key > MaxKey {
 		panic("kcount: key collides with empty sentinel")
 	}
-	if float64(t.n+1) > 0.7*float64(len(t.keys)) {
+	if t.n >= t.limit {
 		t.grow()
 	}
 	stored := key + 1
@@ -171,6 +180,7 @@ func (t *Table) grow() {
 	t.keys = make([]uint64, len(old.keys)*2)
 	t.counts = make([]uint32, len(old.counts)*2)
 	t.mask = uint64(len(t.keys) - 1)
+	t.limit = loadLimit(len(t.keys))
 	t.n = 0
 	for i, stored := range old.keys {
 		if stored != 0 {

@@ -74,6 +74,21 @@ func TestTableGrowth(t *testing.T) {
 	}
 }
 
+// TestLoadLimitMatchesFloatPredicate: the integer growth test n >=
+// loadLimit(cap) grows at exactly the insert where the float test
+// float64(n+1) > 0.7*cap first holds, so the growth schedule (and the
+// Probes the CPU count cost is charged from) is unchanged.
+func TestLoadLimitMatchesFloatPredicate(t *testing.T) {
+	grows := func(n, capacity int) bool { return float64(n+1) > 0.7*float64(capacity) }
+	for capacity := 8; capacity <= 1<<30; capacity <<= 1 {
+		lim := loadLimit(capacity)
+		if grows(lim-1, capacity) || !grows(lim, capacity) {
+			t.Fatalf("cap %d: loadLimit %d, but float predicate grows at n=%d: %v, n=%d: %v",
+				capacity, lim, lim-1, grows(lim-1, capacity), lim, grows(lim, capacity))
+		}
+	}
+}
+
 func TestTableMatchesMapOracle(t *testing.T) {
 	for _, prob := range []Probing{Linear, Quadratic} {
 		rng := rand.New(rand.NewSource(31))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"dedukt/internal/dna"
 	"dedukt/internal/minimizer"
@@ -186,14 +187,26 @@ func UnframeBytes(frame []byte) (payload []byte, items int, err error) {
 	return payload, items, nil
 }
 
-// wordsCRC checksums word payloads over their little-endian byte images.
+// crcBlocks pools wordsCRC's 4 KiB block (a stack array would escape
+// through crc32.Update and cost a heap allocation per frame).
+const crcBlockWords = 512
+
+var crcBlocks = sync.Pool{New: func() any { return new([8 * crcBlockWords]byte) }}
+
+// wordsCRC checksums word payloads over their little-endian byte images,
+// one crc32.Update per block: CRC32 streams, so the sum is the image's.
 func wordsCRC(words []uint64) uint32 {
-	var buf [8]byte
+	blk := crcBlocks.Get().(*[8 * crcBlockWords]byte)
 	var crc uint32
-	for _, w := range words {
-		binary.LittleEndian.PutUint64(buf[:], w)
-		crc = crc32.Update(crc, crcTable, buf[:])
+	for len(words) > 0 {
+		n := min(len(words), crcBlockWords)
+		for i, w := range words[:n] {
+			binary.LittleEndian.PutUint64(blk[8*i:], w)
+		}
+		crc = crc32.Update(crc, crcTable, blk[:8*n])
+		words = words[n:]
 	}
+	crcBlocks.Put(blk)
 	return crc
 }
 

@@ -180,3 +180,26 @@ func BenchmarkPipelineHier(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPipelineSpill measures the CPU out-of-core path: k-mer mode,
+// hierarchical exchange, streamed multi-round ingestion and a two-pass
+// count through 4 disk bins per rank (word framing, spill writes and the
+// per-bin table inserts).
+func BenchmarkPipelineSpill(b *testing.B) {
+	reads := benchReads(b)
+	cfg := Default(smallCPULayout(2), KmerMode)
+	cfg.Exchange = ExchangeHier
+	cfg.MemBudgetBytes = int64(cfg.Layout.Ranks() * streamBytesPerBase * 3_000)
+	cfg.Spill = SpillConfig{Dir: b.TempDir(), Bins: 4}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := RunStream(cfg, fastq.NewSliceSource(reads))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Rounds < 2 {
+			b.Fatal("want a multi-round streamed run")
+		}
+		b.ReportMetric(float64(res.Rounds), "rounds")
+	}
+}
